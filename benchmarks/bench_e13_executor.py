@@ -8,8 +8,10 @@ compiling each operator's expressions once instead of interpreting the
 AST per row, pushing predicates below joins, and hashing composite
 equi-join keys.
 
-Three workloads, each executed with the optimizer off (the seed engine's
-behaviour) and on, with provenance capture off and on:
+Three workloads, each executed by the reference engine
+(:class:`repro.sqldb.reference.ReferenceExecutor`: the seed engine's
+unplanned, interpreted behaviour) and by the planned, compiled production
+executor, with provenance capture off and on:
 
 * ``filter-heavy`` — conjunctive WHERE + arithmetic projection over one
   wide table;
@@ -43,6 +45,7 @@ from conftest import format_table, write_results
 from repro.sqldb.database import Database
 from repro.sqldb.executor import SelectExecutor
 from repro.sqldb.parser import parse_sql
+from repro.sqldb.reference import ReferenceExecutor
 from repro.sqldb.types import Column, ColumnType
 
 SCALE = float(os.environ.get("E13_SCALE", "1.0"))
@@ -162,18 +165,17 @@ WORKLOADS = [
 REPEATS = 3
 
 
-def _run(db: Database, sql: str, capture_lineage: bool, optimize: bool):
+def _run(db: Database, sql: str, capture_lineage: bool, executor_class):
     """Best-of-``REPEATS`` wall time (steady state: a conversational
     workload re-runs queries against warm interned scan provenance)."""
     statement = parse_sql(sql)
     best = float("inf")
     result = None
     for _ in range(REPEATS):
-        executor = SelectExecutor(
+        executor = executor_class(
             db.catalog,
             capture_lineage=capture_lineage,
             capture_how=False,
-            optimize=optimize,
         )
         started = time.perf_counter()
         result = executor.execute(statement)
@@ -205,12 +207,10 @@ def _how_parity(db: Database, sql: str) -> bool:
         for _row_id, values in list(table.rows_with_ids())[:HOW_PARITY_ROWS]:
             clone.insert(values)
     statement = parse_sql(sql)
-    optimized = SelectExecutor(
-        small.catalog, capture_how=True, optimize=True
-    ).execute(statement)
-    interpreted = SelectExecutor(
-        small.catalog, capture_how=True, optimize=False
-    ).execute(statement)
+    optimized = SelectExecutor(small.catalog, capture_how=True).execute(statement)
+    interpreted = ReferenceExecutor(small.catalog, capture_how=True).execute(
+        statement
+    )
     _assert_parity(optimized, interpreted, capture_how=True)
     return True
 
@@ -222,9 +222,9 @@ def test_e13_executor_optimization(benchmark):
         db, sql = build()
         for capture_lineage in (False, True):
             interp_elapsed, interpreted = _run(
-                db, sql, capture_lineage, optimize=False
+                db, sql, capture_lineage, ReferenceExecutor
             )
-            opt_elapsed, optimized = _run(db, sql, capture_lineage, optimize=True)
+            opt_elapsed, optimized = _run(db, sql, capture_lineage, SelectExecutor)
             _assert_parity(optimized, interpreted)
             speedup = interp_elapsed / opt_elapsed if opt_elapsed else float("inf")
             records.append(
@@ -282,7 +282,7 @@ def test_e13_executor_optimization(benchmark):
     db, sql = _filter_db()
     statement = parse_sql(sql)
     benchmark(
-        lambda: SelectExecutor(db.catalog, optimize=True).execute(statement)
+        lambda: SelectExecutor(db.catalog).execute(statement)
     )
 
     by_key = {

@@ -84,7 +84,6 @@ class CDAEngine:
             self.database.cache = QueryCache(
                 max_entries=self.config.query_cache_size
             )
-        self.database.optimize = self.config.use_query_optimizer
         self.llm = llm
         self.schema_kg = SchemaKnowledgeGraph(self.database.catalog)
         self.parser = GroundedSemanticParser(

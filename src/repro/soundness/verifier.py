@@ -13,11 +13,17 @@ verifier offers three depths — benchmark E4's ablation axis:
   single-table aggregates recompute the aggregate from the lineage alone.
   A fabricated answer cannot survive this: its provenance either does not
   exist or does not reproduce it.
+
+Re-derivation compiles each expression once per table with
+:mod:`repro.sqldb.compile`, the executor's own expression engine; the
+parity corpus in ``tests/test_soundness.py`` checks every verdict against
+the reference interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SoundnessError
 from repro.nl.constrained import SQLValidator
@@ -25,8 +31,11 @@ from repro.obs.events import emit
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.sqldb import ast
+from repro.sqldb.aggregates import make_aggregator
+from repro.sqldb.compile import CompiledExpression, compile_expression
 from repro.sqldb.database import Database, QueryResult
-from repro.sqldb.expressions import BoundColumn, ExpressionEvaluator, RowContext, RowLayout
+from repro.sqldb.expressions import RowLayout
+from repro.sqldb.types import SQLValue
 
 DEPTHS = ("static", "reexecution", "provenance")
 
@@ -179,26 +188,17 @@ class AnswerVerifier:
             return aggregates[0]
         return None
 
-    def _row_context(self, statement: ast.SelectStatement, table_name: str, row_id: int):
-        table = self.database.catalog.table(table_name)
-        binding = statement.from_table.binding if statement.from_table else table_name
-        layout = RowLayout(
-            [BoundColumn(binding=binding, name=column.name) for column in table.schema]
-        )
-        return RowContext(layout, table.get_row(row_id))
-
     def _check_filter_on_lineage(
         self, result: QueryResult, statement: ast.SelectStatement
     ) -> list[str]:
         if statement.where is None:
             return []
-        evaluator = ExpressionEvaluator()
+        where = _source_row_evaluator(self.database, statement, statement.where)
         issues: list[str] = []
         for row_lineage in result.lineage:
             for table_name, row_id in row_lineage:
                 try:
-                    context = self._row_context(statement, table_name, row_id)
-                    verdict = evaluator.evaluate(statement.where, context)
+                    verdict = where(table_name, row_id)
                 except Exception as exc:  # noqa: BLE001
                     issues.append(
                         f"cannot re-check filter on {table_name}[{row_id}]: {exc}"
@@ -217,8 +217,6 @@ class AnswerVerifier:
         statement: ast.SelectStatement,
         aggregate: ast.AggregateCall,
     ) -> list[str]:
-        from repro.sqldb.aggregates import make_aggregator
-
         if len(result.rows) != 1 or len(result.rows[0]) != 1:
             return []
         reported = result.rows[0][0]
@@ -227,15 +225,14 @@ class AnswerVerifier:
             star=isinstance(aggregate.argument, ast.Star),
             distinct=aggregate.distinct,
         )
-        evaluator = ExpressionEvaluator()
+        argument = _source_row_evaluator(self.database, statement, aggregate.argument)
         source_rows = result.all_source_rows()
         for table_name, row_id in sorted(source_rows):
             if isinstance(aggregate.argument, ast.Star):
                 accumulator.step(1)
                 continue
             try:
-                context = self._row_context(statement, table_name, row_id)
-                accumulator.step(evaluator.evaluate(aggregate.argument, context))
+                accumulator.step(argument(table_name, row_id))
             except Exception as exc:  # noqa: BLE001
                 return [f"cannot recompute aggregate on {table_name}[{row_id}]: {exc}"]
         recomputed = accumulator.finalize()
@@ -270,8 +267,6 @@ def verify_rows(
     Returns None when the statement shape is not row-verifiable
     (joins, unions, multiple aggregates, no grouping).
     """
-    from repro.sqldb.aggregates import make_aggregator
-
     statement = result.statement
     if statement is None or statement.from_table is None:
         return None
@@ -291,11 +286,14 @@ def verify_rows(
     if agg_position is None:
         return None
     table = database.catalog.table(statement.from_table.name)
-    binding = statement.from_table.binding
-    layout = RowLayout(
-        [BoundColumn(binding=binding, name=column.name) for column in table.schema]
+    argument = (
+        None
+        if isinstance(aggregate.argument, ast.Star)
+        else compile_expression(
+            aggregate.argument,
+            RowLayout.for_table(table, statement.from_table.binding),
+        )
     )
-    evaluator = ExpressionEvaluator()
     verdicts: list[RowVerdict] = []
     for row_index, (row, lineage) in enumerate(zip(result.rows, result.lineage)):
         accumulator = make_aggregator(
@@ -304,14 +302,9 @@ def verify_rows(
             distinct=aggregate.distinct,
         )
         try:
-            for table_name, row_id in sorted(lineage):
-                context = RowContext(layout, table.get_row(row_id))
-                if isinstance(aggregate.argument, ast.Star):
-                    accumulator.step(1)
-                else:
-                    accumulator.step(
-                        evaluator.evaluate(aggregate.argument, context)
-                    )
+            for _table_name, row_id in sorted(lineage):
+                values = table.get_row(row_id)
+                accumulator.step(1 if argument is None else argument(values))
         except Exception as exc:  # noqa: BLE001 - unverifiable row
             verdicts.append(
                 RowVerdict(row_index, False, f"cannot re-derive: {exc}")
@@ -330,6 +323,32 @@ def verify_rows(
                 )
             )
     return verdicts
+
+
+def _source_row_evaluator(
+    database: Database, statement: ast.SelectStatement, expression: ast.Expression
+) -> Callable[[str, int], SQLValue]:
+    """``evaluate(table_name, row_id)``: ``expression`` over one cited row.
+
+    The expression is compiled once per table, over the columns the
+    statement's FROM binding makes visible, so re-checking N lineage rows
+    costs N closure calls rather than N layout builds.  A missing table or
+    row raises from ``evaluate`` exactly as a fetch would.
+    """
+    catalog = database.catalog
+    binding = statement.from_table.binding
+    compiled: dict[str, CompiledExpression] = {}
+
+    def evaluate(table_name: str, row_id: int) -> SQLValue:
+        table = catalog.table(table_name)
+        values = table.get_row(row_id)
+        fn = compiled.get(table_name)
+        if fn is None:
+            layout = RowLayout.for_table(table, binding)
+            fn = compiled[table_name] = compile_expression(expression, layout)
+        return fn(values)
+
+    return evaluate
 
 
 def _values_close(a, b) -> bool:

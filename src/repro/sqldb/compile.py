@@ -1,11 +1,13 @@
 """Expression compilation: AST + layout → a per-row Python closure.
 
-The interpreting :class:`~repro.sqldb.expressions.ExpressionEvaluator`
-re-dispatches on node type, re-resolves column names, and re-inspects
-literals for *every row*.  For the hot operators (filter, join, group
-keys, projection, ORDER BY) that per-row interpretive overhead dominates
-execution time — exactly the "sharing of computation" opportunity the
-paper's holistic optimizer (§3.2, P1 Efficiency) is supposed to exploit.
+This is the one expression engine of the production path: the executor
+(filter, join, group keys, projection, ORDER BY), the provenance
+verifier and INSERT all evaluate through it.  An interpreter that
+re-dispatches on node type, re-resolves column names and re-inspects
+literals for *every row* (kept in :mod:`repro.sqldb.reference` as the
+test oracle) spends most of its time on that interpretive overhead —
+exactly the "sharing of computation" opportunity the paper's holistic
+optimizer (§3.2, P1 Efficiency) is supposed to exploit.
 
 :func:`compile_expression` walks the AST **once** per operator and lowers
 it into a closure ``fn(values) -> SQLValue`` over the operator's value
@@ -18,15 +20,15 @@ tuples.  At compile time it
 * specializes comparison / arithmetic / three-valued-logic dispatch so
   the per-row work is just the closures' bodies.
 
-Semantics are identical to the evaluator — the same helpers from
-:mod:`repro.sqldb.expressions` implement NULL propagation and Kleene
-logic — with one deliberate exception: errors that depend only on the
-*query* (unknown column, ambiguous name, constant division by zero) are
-detected at compile time but still raised lazily on the first row, so a
-query over an empty relation behaves exactly as interpreted execution.
-Uncorrelated subqueries are never folded eagerly; they stay lazy and
-memoised (per shared ``subquery_cache``) so a query that filters away
-every row never pays for them, matching the evaluator.
+Semantics are identical to the reference interpreter — the same helpers
+from :mod:`repro.sqldb.expressions` implement NULL propagation and
+Kleene logic — with one deliberate exception: errors that depend only on
+the *query* (unknown column, ambiguous name, constant division by zero)
+are detected at compile time but still raised lazily on the first row,
+so a query over an empty relation behaves exactly as interpreted
+execution.  Uncorrelated subqueries are never folded eagerly; they stay
+lazy and memoised (per shared ``subquery_cache``) so a query that
+filters away every row never pays for them, matching the interpreter.
 """
 
 from __future__ import annotations
@@ -77,27 +79,6 @@ def compile_expression(
     compiler = _Compiler(layout, aggregate_slots, subquery_runner, subquery_cache)
     fn, _is_const = compiler.compile(expression)
     return fn
-
-
-def compile_many(
-    expressions: list[ast.Expression],
-    layout: RowLayout,
-    aggregate_slots: dict[str, int] | None = None,
-    subquery_runner=None,
-    subquery_cache: dict[str, list[tuple]] | None = None,
-) -> list[CompiledExpression]:
-    """Compile several expressions sharing one subquery memo."""
-    shared = subquery_cache if subquery_cache is not None else {}
-    return [
-        compile_expression(
-            expression,
-            layout,
-            aggregate_slots=aggregate_slots,
-            subquery_runner=subquery_runner,
-            subquery_cache=shared,
-        )
-        for expression in expressions
-    ]
 
 
 def _constant(value: SQLValue) -> tuple[CompiledExpression, bool]:

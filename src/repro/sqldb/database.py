@@ -20,7 +20,9 @@ from repro.obs.trace import span
 from repro.provenance.semiring import Polynomial
 from repro.sqldb import ast
 from repro.sqldb.catalog import Catalog
+from repro.sqldb.compile import compile_expression
 from repro.sqldb.executor import Lineage, SelectExecutor
+from repro.sqldb.expressions import RowLayout
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.table import Table
 from repro.sqldb.types import Column, ColumnType, Schema, SQLValue
@@ -100,13 +102,11 @@ class Database:
         capture_lineage: bool = True,
         capture_how: bool = False,
         cache_size: int | None = None,
-        optimize: bool = True,
     ):
         self.name = name
         self.catalog = Catalog()
         self.capture_lineage = capture_lineage
         self.capture_how = capture_how
-        self.optimize = optimize
         self.stats = QueryStats()
         self._metric_queries = counter("sqldb.executor.queries")
         self._metric_rows_scanned = counter("sqldb.executor.rows_scanned")
@@ -208,9 +208,8 @@ class Database:
             self.catalog,
             capture_lineage=self.capture_lineage,
             capture_how=self.capture_how,
-            optimize=self.optimize,
         )
-        with span("sqldb.executor.execute", optimized=self.optimize) as exec_span:
+        with span("sqldb.executor.execute") as exec_span:
             started = time.perf_counter()
             result = executor.execute(statement)
             elapsed = time.perf_counter() - started
@@ -270,14 +269,14 @@ class Database:
         self.create_table(statement.name, columns, primary_key=primary_key)
 
     def _execute_insert(self, statement: ast.InsertStatement) -> int:
-        from repro.sqldb.expressions import ExpressionEvaluator, RowContext, RowLayout
-
         table = self.catalog.table(statement.table)
-        evaluator = ExpressionEvaluator()
-        empty_row = RowContext(RowLayout([]), ())
+        no_columns = RowLayout([])
         inserted = 0
         for row in statement.rows:
-            values = [evaluator.evaluate(expression, empty_row) for expression in row]
+            values = [
+                compile_expression(expression, no_columns)(())
+                for expression in row
+            ]
             if statement.columns:
                 if len(values) != len(statement.columns):
                     raise ExecutionError(

@@ -137,12 +137,24 @@ def _fn_power(args: list[SQLValue]) -> SQLValue:
     return float(base) ** float(exponent)
 
 
+def sql_remainder(left: int | float, right: int | float) -> int | float:
+    """``left % right`` signed like the dividend (SQL), not the divisor (Python).
+
+    Integers stay exact; any float operand gives :func:`math.fmod`'s
+    fractional remainder.  The caller rejects a zero divisor.
+    """
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    return math.fmod(left, right)
+
+
 def _fn_mod(args: list[SQLValue]) -> SQLValue:
     left = _require_number(args[0], "MOD")
     right = _require_number(args[1], "MOD")
     if right == 0:
         raise ExecutionError("MOD by zero")
-    return left % right
+    return sql_remainder(left, right)
 
 
 def _fn_year(args: list[SQLValue]) -> SQLValue:

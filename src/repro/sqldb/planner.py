@@ -1,9 +1,9 @@
 """Logical query planner: pushdown and join-key extraction.
 
-The executor historically ran SELECTs exactly as written: the whole WHERE
-clause after all joins, hash joins only for a bare single-key equality,
-LEFT joins always as nested loops.  This module produces a
-:class:`SelectPlan` that the executor's optimized path consumes instead:
+Run as written, a SELECT evaluates the whole WHERE clause after all
+joins and every join as a nested loop (the reference engine in
+:mod:`repro.sqldb.reference` still does).  This module produces the
+:class:`SelectPlan` the production executor consumes instead:
 
 * **conjunct splitting** — ``a AND b AND c`` becomes ``[a, b, c]``,
   recursing through nested/parenthesised AND trees;
@@ -20,13 +20,14 @@ LEFT joins always as nested loops.  This module produces a
   INNER and LEFT joins take the hash path.
 
 The plan is purely logical: no provenance decision is made here, so the
-executor's lineage/how capture is byte-identical with the optimizer on or
-off (the "provenance survives optimization" requirement of Query By
+executor's lineage/how capture is byte-identical to the reference
+engine's (the "provenance survives optimization" requirement of Query By
 Provenance).  One documented deviation: like production engines, the
-optimizer may evaluate the conjuncts of a conjunction in any order, so
-*errors* raised by one conjunct (type mismatch, division by zero) can
-surface for rows where another conjunct would have short-circuited the
-interpreted path.  TRUE/FALSE/NULL outcomes are unaffected.
+planned executor may evaluate the conjuncts of a conjunction in any
+order, so *errors* raised by one conjunct (type mismatch, division by
+zero) can surface for rows where another conjunct would have
+short-circuited the reference engine.  TRUE/FALSE/NULL outcomes are
+unaffected.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from repro.errors import ExecutionError
 from repro.sqldb import ast
 from repro.sqldb.catalog import Catalog
-from repro.sqldb.expressions import BoundColumn, RowLayout
+from repro.sqldb.expressions import RowLayout
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,14 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> SelectPlan:
 
     Planning never raises on malformed column references; conjuncts it
     cannot place are left in the residual WHERE so execution reports the
-    same error, at the same point, as the unoptimized path.
+    same error, at the same point, as the reference engine.
     """
     if statement.from_table is None:
         return SelectPlan(base=None, where=statement.where)
     table_refs = [statement.from_table] + [join.table for join in statement.joins]
-    layouts = [_scan_layout(ref, catalog) for ref in table_refs]
+    layouts = [
+        RowLayout.for_table(catalog.table(ref.name), ref.binding) for ref in table_refs
+    ]
     full_layout = layouts[0]
     for layout in layouts[1:]:
         full_layout = full_layout.concat(layout)
@@ -145,15 +148,6 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> SelectPlan:
 
 
 # -- helpers ------------------------------------------------------------------
-
-
-def _scan_layout(table_ref: ast.TableRef, catalog: Catalog) -> RowLayout:
-    """The layout a scan of ``table_ref`` produces (mirrors the executor)."""
-    table = catalog.table(table_ref.name)
-    binding = table_ref.binding
-    return RowLayout(
-        [BoundColumn(binding=binding, name=column.name) for column in table.schema]
-    )
 
 
 def _position_owners(layouts: list[RowLayout]) -> list[int]:

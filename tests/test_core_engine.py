@@ -1,7 +1,15 @@
 """Tests for the CDA engine and the core layer."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import (
     Answer,
     AnswerKind,
@@ -238,3 +246,45 @@ class TestSessionState:
         session = Session()
         assert not session.expecting_clarification_reply
         assert session.focus_table is None
+
+
+class TestProductionPath:
+    def test_data_turn_never_imports_the_reference_engine(self):
+        # A fresh interpreter: this test process has the reference engine
+        # loaded already, for the parity corpora.
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from repro.core import AnswerKind, CDAEngine
+            from repro.datasets import build_swiss_labour_registry
+
+            domain = build_swiss_labour_registry(seed=5)
+            engine = CDAEngine(domain.registry, domain.vocabulary)
+            answer = engine.ask("how many cantons are there")
+            print(json.dumps({
+                "kind": answer.kind.value,
+                "verified": answer.verification is not None
+                and answer.verification.depth == "provenance",
+                "reference_loaded": "repro.sqldb.reference" in sys.modules,
+            }))
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        outcome = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert outcome == {
+            "kind": AnswerKind.DATA.value,
+            "verified": True,
+            "reference_loaded": False,
+        }

@@ -58,7 +58,6 @@ _config_kwargs = st.fixed_dictionaries(
         "query_cache_size": st.one_of(
             st.none(), st.integers(min_value=1, max_value=4096)
         ),
-        "use_query_optimizer": st.booleans(),
         "attach_explanations": st.booleans(),
         "record_turns": st.booleans(),
         "recorder_capacity": st.integers(min_value=1, max_value=2048),

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import AbstentionError, SoundnessError
+from repro.errors import AbstentionError, ExecutionError, SoundnessError
 from repro.nl import SimulatedLLM
 from repro.nl.llmsim import LLMOutput
 from repro.soundness import (
@@ -21,6 +23,11 @@ from repro.soundness import (
     risk_coverage_curve,
 )
 from repro.soundness.abstention import accuracy_at_coverage
+from repro.soundness.verifier import RowVerdict, _values_close, verify_rows
+from repro.sqldb import Database, ast
+from repro.sqldb.aggregates import make_aggregator
+from repro.sqldb.expressions import RowLayout
+from repro.sqldb.reference import ExpressionEvaluator, RowContext
 
 GOLD = "SELECT AVG(salary) AS avg_salary FROM employees WHERE department = 'sales'"
 
@@ -341,3 +348,221 @@ class TestRowVerification:
         answer = engine.ask("what is the average employees for each sector")
         assert answer.metadata.get("row_verification") is not None
         assert all(answer.metadata["row_verification"])
+
+
+# -- compiled verifier vs the reference interpreter ------------------------------
+
+
+def _interpret_on_row(database, statement, expression, table_name, row_id):
+    table = database.catalog.table(table_name)
+    layout = RowLayout.for_table(table, statement.from_table.binding)
+    row = RowContext(layout, table.get_row(row_id))
+    return ExpressionEvaluator().evaluate(expression, row)
+
+
+def _reference_provenance_issues(database, result) -> list[str]:
+    """The provenance depth's issues, re-derived through the interpreter."""
+    statement = result.statement
+    issues = []
+    for row_lineage in result.lineage:
+        for table_name, row_id in row_lineage:
+            try:
+                database.fetch_source_row(table_name, row_id)
+            except Exception as exc:  # noqa: BLE001
+                issues.append(f"cited row {table_name}[{row_id}] is gone: {exc}")
+    if statement.where is not None:
+        for row_lineage in result.lineage:
+            for table_name, row_id in row_lineage:
+                try:
+                    verdict = _interpret_on_row(
+                        database, statement, statement.where, table_name, row_id
+                    )
+                except Exception as exc:  # noqa: BLE001
+                    issues.append(
+                        f"cannot re-check filter on {table_name}[{row_id}]: {exc}"
+                    )
+                    continue
+                if verdict is not True:
+                    issues.append(
+                        f"cited row {table_name}[{row_id}] does not satisfy "
+                        "the query's WHERE clause"
+                    )
+    if statement.group_by or len(statement.items) != 1:
+        return issues
+    (aggregate,) = ast.collect_aggregates(statement.items[0].expression)
+    star = isinstance(aggregate.argument, ast.Star)
+    accumulator = make_aggregator(
+        aggregate.name, star=star, distinct=aggregate.distinct
+    )
+    for table_name, row_id in sorted(result.all_source_rows()):
+        try:
+            accumulator.step(
+                1
+                if star
+                else _interpret_on_row(
+                    database, statement, aggregate.argument, table_name, row_id
+                )
+            )
+        except Exception as exc:  # noqa: BLE001
+            return issues + [
+                f"cannot recompute aggregate on {table_name}[{row_id}]: {exc}"
+            ]
+    recomputed, reported = accumulator.finalize(), result.rows[0][0]
+    if not _values_close(recomputed, reported):
+        issues.append(
+            f"aggregate recomputed from cited rows is {recomputed!r}, "
+            f"but the answer reports {reported!r}"
+        )
+    return issues
+
+
+def _reference_row_verdicts(database, result) -> list[RowVerdict] | None:
+    statement = result.statement
+    if not statement.group_by:
+        return None
+    aggregate = statement.items[1].expression
+    star = isinstance(aggregate.argument, ast.Star)
+    table_name = statement.from_table.name
+    verdicts = []
+    for index, (row, lineage) in enumerate(zip(result.rows, result.lineage)):
+        accumulator = make_aggregator(
+            aggregate.name, star=star, distinct=aggregate.distinct
+        )
+        try:
+            for _name, row_id in sorted(lineage):
+                # COUNT(*) steps a constant but still fetches every row.
+                expression = ast.Literal(1) if star else aggregate.argument
+                accumulator.step(
+                    _interpret_on_row(
+                        database, statement, expression, table_name, row_id
+                    )
+                )
+        except Exception as exc:  # noqa: BLE001
+            verdicts.append(RowVerdict(index, False, f"cannot re-derive: {exc}"))
+            continue
+        recomputed, reported = accumulator.finalize(), row[1]
+        if _values_close(recomputed, reported):
+            verdicts.append(RowVerdict(index, True))
+        else:
+            verdicts.append(
+                RowVerdict(
+                    index,
+                    False,
+                    f"cited rows give {recomputed!r}, answer says {reported!r}",
+                )
+            )
+    return verdicts
+
+
+_VERIFY_ROWS = [
+    ("x", 1, 10),
+    ("y", -3, None),
+    ("x", None, 4),
+    ("z", 7, -2),
+    ("y", 2, 0),
+    ("x", -5, 9),
+    ("z", 0, 3),
+    ("y", 4, 4),
+]
+
+_OPERANDS = st.sampled_from(["a", "b", "a % 3", "b - a", "a * 2"])
+_LITERAL = st.sampled_from(["0", "1", "-2", "4", "NULL"])
+
+
+@st.composite
+def _where(draw) -> str:
+    comparison = st.builds(
+        lambda left, op, right: f"{left} {op} {right}",
+        _OPERANDS,
+        st.sampled_from(["=", "<>", "<", ">=", ">"]),
+        _LITERAL,
+    )
+    atom = st.one_of(
+        comparison,
+        st.sampled_from(
+            ["a IS NULL", "b IS NOT NULL", "g IN ('x', 'z')", "g LIKE 'y%'"]
+        ),
+    )
+    parts = draw(st.lists(atom, min_size=1, max_size=3))
+    joiners = draw(st.lists(st.sampled_from(["AND", "OR"]), min_size=2, max_size=2))
+    where = parts[0]
+    for joiner, part in zip(joiners, parts[1:]):
+        where = f"({where}) {joiner} {part}"
+    return f"NOT ({where})" if draw(st.booleans()) else where
+
+
+_AGGREGATES = st.sampled_from(
+    [
+        "COUNT(*)",
+        "COUNT(a)",
+        "SUM(a)",
+        "AVG(b)",
+        "MIN(b - a)",
+        "MAX(a % 3)",
+        "SUM(DISTINCT b)",
+    ]
+)
+
+
+class TestVerifierParity:
+    """The compiled verifier agrees with the interpreter on every verdict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        where=_where(),
+        aggregate=_AGGREGATES,
+        grouped=st.booleans(),
+        alias=st.sampled_from(["", " AS s"]),
+        tamper=st.sampled_from(["none", "mutate", "inject", "delete"]),
+        pick=st.integers(min_value=0, max_value=100),
+    )
+    def test_verdicts_match_interpreted_recomputation(
+        self, where, aggregate, grouped, alias, tamper, pick
+    ):
+        db = Database()
+        db.execute("CREATE TABLE t (g TEXT, a INT, b INT)")
+        for row in _VERIFY_ROWS:
+            db.catalog.table("t").insert(row)
+        items = f"g, {aggregate}" if grouped else aggregate
+        tail = " GROUP BY g ORDER BY g" if grouped else ""
+        try:
+            result = db.execute(f"SELECT {items} FROM t{alias} WHERE {where}{tail}")
+        except ExecutionError:
+            assume(False)
+        assume(result.rows)
+        target = pick % len(result.rows)
+        if tamper == "mutate":
+            row = list(result.rows[target])
+            row[-1] = 1 if row[-1] is None else row[-1] + 1
+            result.rows = list(result.rows)
+            result.rows[target] = tuple(row)
+        elif tamper == "inject":
+            statement = result.statement
+            failing = []
+            for row_id in db.catalog.table("t").row_ids:
+                try:
+                    verdict = _interpret_on_row(
+                        db, statement, statement.where, "t", row_id
+                    )
+                except ExecutionError:
+                    continue
+                if verdict is not True:
+                    failing.append(row_id)
+            assume(failing)
+            result.lineage = list(result.lineage)
+            result.lineage[target] = result.lineage[target] | {
+                ("t", failing[pick % len(failing)])
+            }
+        elif tamper == "delete":
+            cited = sorted(result.all_source_rows())
+            assume(cited)
+            db.catalog.table("t").delete_row(cited[pick % len(cited)][1])
+
+        report = AnswerVerifier(db)._verify_provenance(result)
+        expected = _reference_provenance_issues(db, result)
+        assert report.issues == expected
+        assert report.passed is (not expected)
+        assert verify_rows(db, result) == _reference_row_verdicts(db, result)
+        if tamper != "none":
+            row_verdicts = verify_rows(db, result) or []
+            assert not report.passed or not all(v.verified for v in row_verdicts)

@@ -1,7 +1,7 @@
 """Tests for the expression compiler: semantics parity with the evaluator.
 
-Every compiled closure must behave exactly like
-:class:`~repro.sqldb.expressions.ExpressionEvaluator` — same values, same
+Every compiled closure must behave exactly like the reference interpreter
+:class:`~repro.sqldb.reference.ExpressionEvaluator` — same values, same
 NULL propagation, same errors — including the deliberate laziness rules:
 compile-time-detectable errors (unknown column, constant division by
 zero) surface on the *first row*, never at compile time, so empty
@@ -15,14 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.sqldb.compile import compile_expression, compile_many
-from repro.sqldb.expressions import (
-    BoundColumn,
-    ExpressionEvaluator,
-    RowContext,
-    RowLayout,
-)
+from repro.sqldb.compile import compile_expression
+from repro.sqldb.expressions import BoundColumn, RowLayout
 from repro.sqldb.parser import parse_sql
+from repro.sqldb.reference import ExpressionEvaluator, RowContext
 
 
 LAYOUT = RowLayout(
@@ -203,12 +199,12 @@ class TestSubqueries:
             return [(7,)]
 
         cache: dict[str, list[tuple]] = {}
-        fns = compile_many(
-            [_expr("a = (SELECT 7)"), _expr("b = (SELECT 7)")],
-            LAYOUT,
-            subquery_runner=runner,
-            subquery_cache=cache,
-        )
+        fns = [
+            compile_expression(
+                _expr(sql), LAYOUT, subquery_runner=runner, subquery_cache=cache
+            )
+            for sql in ("a = (SELECT 7)", "b = (SELECT 7)")
+        ]
         assert calls == []  # nothing runs at compile time
         assert fns[0]((7, 0, "x")) is True
         assert fns[1]((0, 7, "x")) is True

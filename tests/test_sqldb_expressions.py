@@ -1,16 +1,16 @@
-"""Tests for the expression evaluator: NULL semantics, operators, layout."""
+"""Tests for the reference expression evaluator: NULL semantics, operators, layout."""
+
+import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.sqldb.expressions import (
-    BoundColumn,
-    ExpressionEvaluator,
-    RowContext,
-    RowLayout,
-    like_to_regex,
-)
+from repro.sqldb import Database
+from repro.sqldb.expressions import BoundColumn, RowLayout, like_to_regex
 from repro.sqldb.parser import parse_expression
+from repro.sqldb.reference import ExpressionEvaluator, RowContext
 
 
 def make_row(**columns):
@@ -44,6 +44,16 @@ class TestArithmetic:
     def test_modulo_by_zero(self):
         with pytest.raises(ExecutionError):
             evaluate("1 % 0")
+
+    def test_modulo_takes_the_dividend_sign(self):
+        assert evaluate("x % 2", x=-3) == -1
+        assert evaluate("x % -2", x=3) == 1
+        assert evaluate("MOD(x, 2)", x=-3) == -1
+
+    def test_float_modulo_is_fmod(self):
+        assert evaluate("x % 2", x=-7.5) == -1.5
+        assert evaluate("x % -2", x=7.5) == 1.5
+        assert evaluate("MOD(x, 2)", x=-7.5) == -1.5
 
     def test_unary_minus(self):
         assert evaluate("-(2 + 3)") == -5
@@ -228,3 +238,50 @@ class TestErrors:
     def test_aggregate_outside_group(self):
         with pytest.raises(ExecutionError):
             evaluate("COUNT(*)")
+
+
+_INTEGERS = st.integers(min_value=-(10**6), max_value=10**6)
+
+
+class TestRemainderAgainstSQLite:
+    """``%`` and ``MOD()`` match stdlib ``sqlite3`` on integer operands."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_INTEGERS, _INTEGERS.filter(lambda value: value != 0)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_integer_pairs_with_negative_operands(self, pairs):
+        pairs = pairs + [(-3, 2), (3, -2), (-3, -2), (-4, 2)]
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        oracle.executemany("INSERT INTO t VALUES (?, ?)", pairs)
+        expected = [
+            (a, b, remainder, remainder)
+            for a, b, remainder in oracle.execute("SELECT a, b, a % b FROM t")
+        ]
+        oracle.close()
+        db = Database()
+        db.execute("CREATE TABLE t (a INT, b INT)")
+        table = db.catalog.table("t")
+        for pair in pairs:
+            table.insert(pair)
+        sql = "SELECT a, b, a % b, MOD(a, b) FROM t"
+        assert db.execute(sql).rows == expected
+        assert [
+            (a, b, evaluate("a % b", a=a, b=b), evaluate("MOD(a, b)", a=a, b=b))
+            for a, b in pairs
+        ] == expected
+
+    @pytest.mark.parametrize("text", ["x % 0", "MOD(x, 0)", "x % 0.0"])
+    def test_zero_divisor_still_raises(self, text):
+        with pytest.raises(ExecutionError):
+            evaluate(text, x=-5)
+        db = Database()
+        db.execute("CREATE TABLE t (x INT)")
+        db.execute("INSERT INTO t VALUES (-5)")
+        with pytest.raises(ExecutionError):
+            db.execute(f"SELECT {text} FROM t")

@@ -1,10 +1,11 @@
 """Tests for the logical planner: pushdown, equi-keys, and parity.
 
 The parity classes are the load-bearing guarantee of the optimizer work:
-with the optimizer on or off, a query must produce byte-identical result
-rows, where-lineage, *and* how-polynomials ("provenance survives
-optimization").  The hypothesis corpus at the bottom drives randomized
-queries through both paths.
+the planned, compiled executor and the unplanned, interpreted
+:class:`~repro.sqldb.reference.ReferenceExecutor` must produce
+byte-identical result rows, where-lineage, *and* how-polynomials
+("provenance survives optimization").  The hypothesis corpus at the
+bottom drives randomized queries through both engines.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.sqldb.catalog import Catalog
 from repro.sqldb.executor import SelectExecutor
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import conjoin, plan_select, split_conjuncts
+from repro.sqldb.reference import ReferenceExecutor
 
 
 def _plan(db: Database, sql: str):
@@ -26,14 +28,14 @@ def _plan(db: Database, sql: str):
 
 
 def _both_ways(db: Database, sql: str, capture_how: bool = True):
-    """Execute ``sql`` with the optimizer on and off; return both results."""
+    """Execute ``sql`` planned and through the reference; return both results."""
     statement = parse_sql(sql)
-    optimized = SelectExecutor(
-        db.catalog, capture_how=capture_how, optimize=True
-    ).execute(statement)
-    interpreted = SelectExecutor(
-        db.catalog, capture_how=capture_how, optimize=False
-    ).execute(statement)
+    optimized = SelectExecutor(db.catalog, capture_how=capture_how).execute(
+        statement
+    )
+    interpreted = ReferenceExecutor(db.catalog, capture_how=capture_how).execute(
+        statement
+    )
     return optimized, interpreted
 
 
@@ -245,7 +247,7 @@ class TestEquiJoinDetection:
 
 
 class TestLegacyJoinFastPaths:
-    """The satellite bugfixes apply to the optimizer-off path too."""
+    """Hash-join edge cases against the reference engine's nested loop."""
 
     def test_left_join_hash_path_matches_nested_loop(self):
         db = Database(capture_how=True)
@@ -254,9 +256,9 @@ class TestLegacyJoinFastPaths:
         db.execute("CREATE TABLE b (x INT, y TEXT)")
         db.execute("INSERT INTO b VALUES (1, 'one'), (1, 'uno')")
         sql = "SELECT a.x, b.y FROM a LEFT JOIN b ON a.x = b.x"
-        interpreted = SelectExecutor(
-            db.catalog, capture_how=True, optimize=False
-        ).execute(parse_sql(sql))
+        interpreted = ReferenceExecutor(db.catalog, capture_how=True).execute(
+            parse_sql(sql)
+        )
         assert interpreted.rows == [(1, "one"), (1, "uno"), (2, None), (None, None)]
         assert_parity(db, sql)
 
