@@ -63,6 +63,12 @@ _EXPLAINED_ANSWERS = counter("core.engine.explained_answers")
 _SUGGESTIONS_OFFERED = counter("guidance.suggestions.offered")
 _CLARIFICATIONS_RESOLVED = counter("guidance.clarifications.resolved")
 
+#: Longest user message a turn will process.  Longer text is refused with
+#: an abstention before any parsing: several grounding regexes are
+#: quadratic in the length of a run of letters, so an unbounded message
+#: could stall a turn for minutes.  Real questions are far shorter.
+MAX_QUESTION_CHARS = 512
+
 
 class CDAEngine:
     """The reliable Conversational Data Analytics system."""
@@ -291,6 +297,8 @@ class CDAEngine:
 
     def _ask(self, text: str, llm_gold_sql: str | None) -> Answer:
         """The untraced turn pipeline (see :meth:`ask`)."""
+        if len(text) > MAX_QUESTION_CHARS:
+            return self._refuse_overlong(text)
         if self.session.expecting_clarification_reply:
             turn_id = self.session.record_user_turn(
                 text, TurnKind.CLARIFICATION_REPLY
@@ -320,6 +328,22 @@ class CDAEngine:
             answer = self._chitchat(turn_id)
         else:
             answer = self._handle_data_query(text, turn_id, llm_gold_sql)
+        return answer
+
+    def _refuse_overlong(self, text: str) -> Answer:
+        """Bounded-time abstention for a message over
+        :data:`MAX_QUESTION_CHARS`; a pending clarification stays open."""
+        turn_id = self.session.record_user_turn(text, TurnKind.USER_QUESTION)
+        answer = Answer(
+            kind=AnswerKind.ABSTENTION,
+            text=(
+                f"Your message is {len(text)} characters long; I can only "
+                f"answer questions of up to {MAX_QUESTION_CHARS} characters. "
+                "Could you ask a shorter question?"
+            ),
+            metadata={"abstention_reason": "input_too_long"},
+        )
+        self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
         return answer
 
     def discover(self, texts: list[str], k: int = 3) -> list[list]:

@@ -20,8 +20,13 @@ from dataclasses import dataclass
 
 from repro.kg.ontology import Ontology, RDFS_COMMENT, RDFS_LABEL
 from repro.kg.triple_store import TripleStore
-from repro.kg.vocabulary import edit_similarity, token_overlap, trigram_similarity
-from repro.vector.embedding import tokenize_text
+from repro.kg.vocabulary import (
+    edit_similarity,
+    edit_similarity_bound,
+    jaccard,
+    text_features,
+    trigram_similarity,
+)
 from repro.sqldb.catalog import Catalog
 
 # CDA schema-graph predicates.
@@ -50,6 +55,16 @@ def column_node(table: str, column: str) -> str:
 
 def _humanise(identifier: str) -> str:
     return identifier.replace("_", " ").strip().lower()
+
+
+#: Scoring features of one text: token set, trigram set, and the distinct
+#: tokens long enough (>= 4 characters) for per-token typo matching.
+_Features = tuple[frozenset[str], frozenset[str], tuple[str, ...]]
+
+
+def _features(text: str) -> _Features:
+    tokens, grams = text_features(text)
+    return tokens, grams, tuple(token for token in tokens if len(token) >= 4)
 
 
 @dataclass
@@ -87,6 +102,9 @@ class SchemaKnowledgeGraph:
         self.index_values = index_values
         self.max_distinct_values = max_distinct_values
         self._value_index: dict[str, list[tuple[str, str]]] = {}
+        #: Features of label and comment strings, keyed by the string
+        #: itself (so a relabelled node simply keys a new entry).
+        self._surface_features: dict[str, _Features] = {}
         self._build()
 
     @property
@@ -208,25 +226,32 @@ class SchemaKnowledgeGraph:
 
     # -- grounding lookups ---------------------------------------------------------------
 
-    def _score_against(self, phrase: str, node: str) -> tuple[float, str]:
-        label = self.ontology.label(node)
-        comment = self.ontology.comment(node) or ""
-        best = max(token_overlap(phrase, label), trigram_similarity(phrase, label))
+    def _surface(self, text: str) -> _Features:
+        """Features of a label or comment, computed on first use."""
+        features = self._surface_features.get(text)
+        if features is None:
+            features = self._surface_features[text] = _features(text)
+        return features
+
+    def _score_against(self, phrase: _Features, node: str) -> tuple[float, str]:
+        phrase_tokens, phrase_grams, phrase_long = phrase
+        label_tokens, label_grams, label_long = self._surface(self.ontology.label(node))
+        best = max(jaccard(phrase_tokens, label_tokens), jaccard(phrase_grams, label_grams))
         matched_on = "label"
         # Per-token typo tolerance: the best edit-similar (token of phrase,
-        # token of label) pair, discounted so exact matches still win.
-        phrase_tokens = tokenize_text(phrase)
-        label_tokens = tokenize_text(label)
-        for phrase_token in phrase_tokens:
-            for label_token in label_tokens:
-                if min(len(phrase_token), len(label_token)) < 4:
+        # token of label) pair, discounted so exact matches still win.  The
+        # length bound skips pairs that cannot reach 0.7 or beat ``best``.
+        for phrase_token in phrase_long:
+            for label_token in label_long:
+                bound = edit_similarity_bound(phrase_token, label_token)
+                if bound < 0.7 or 0.9 * bound <= best:
                     continue
                 similarity = edit_similarity(phrase_token, label_token)
                 if similarity >= 0.7 and 0.9 * similarity > best:
                     best = 0.9 * similarity
-                    matched_on = "label"
+        comment = self.ontology.comment(node)
         if comment:
-            comment_score = 0.9 * token_overlap(phrase, comment)
+            comment_score = 0.9 * jaccard(phrase_tokens, self._surface(comment)[0])
             if comment_score > best:
                 best = comment_score
                 matched_on = "comment"
@@ -235,8 +260,9 @@ class SchemaKnowledgeGraph:
     def find_tables(self, phrase: str, min_score: float = 0.3) -> list[SchemaMatch]:
         """Tables matching ``phrase``, best first."""
         matches = []
+        features = _features(phrase)
         for node in self.ontology.instances_of(CDA_TABLE):
-            score, matched_on = self._score_against(phrase, node)
+            score, matched_on = self._score_against(features, node)
             if score >= min_score:
                 matches.append(
                     SchemaMatch(
@@ -254,12 +280,13 @@ class SchemaKnowledgeGraph:
     ) -> list[SchemaMatch]:
         """Columns matching ``phrase``, best first, optionally within a table."""
         matches = []
+        features = _features(phrase)
         for node in self.ontology.instances_of(CDA_COLUMN):
             qualified = node.split(":", 1)[1]
             node_table, column = qualified.rsplit(".", 1)
             if table is not None and node_table.lower() != table.lower():
                 continue
-            score, matched_on = self._score_against(phrase, node)
+            score, matched_on = self._score_against(features, node)
             if score >= min_score:
                 matches.append(
                     SchemaMatch(

@@ -11,6 +11,21 @@ Matching is layered: exact term/synonym hit, then token-overlap scoring,
 then character-trigram fuzzy match — each cheaper layer short-circuits the
 next, and every hit reports its match kind so the explanation layer can
 say *why* a term was grounded the way it was.
+
+Every surface form (term name, then its synonyms) has its token set and
+trigram set computed once, when the term is added; a lookup computes the
+phrase's two sets once and scores them against the stored ones.  A
+vocabulary holds a dozen or so surfaces, so this precomputed linear scan
+is the whole index: there is no postings list to keep in sync.
+
+:meth:`DomainVocabulary.ground_question` runs two passes over the
+question's word n-grams.  The first accepts only exact term/synonym hits
+and is a dict probe per n-gram; the second scores the remaining phrases
+with :meth:`~DomainVocabulary.lookup`.
+
+:func:`edit_similarity_bound` is the exact length bound on
+:func:`edit_similarity` that lets callers skip the O(n*m) typo kernel when
+no match above their threshold is possible.
 """
 
 from __future__ import annotations
@@ -45,18 +60,32 @@ class GroundedTerm:
     score: float
 
 
-def _trigrams(text: str) -> set[str]:
+def _trigrams(text: str) -> frozenset[str]:
     padded = f"  {text.lower()} "
-    return {padded[i : i + 3] for i in range(len(padded) - 2)}
+    return frozenset(padded[i : i + 3] for i in range(len(padded) - 2))
+
+
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(tokenize_text(text))
+
+
+def text_features(text: str) -> tuple[frozenset[str], frozenset[str]]:
+    """``(word tokens, character trigrams)`` of ``text``: the two sets the
+    :func:`token_overlap` and :func:`trigram_similarity` kernels compare,
+    for callers that score one text against many."""
+    return _tokens(text), _trigrams(text)
+
+
+def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    """Jaccard similarity of two feature sets (0.0 if either is empty)."""
+    if not a or not b:
+        return 0.0
+    return len(a & b) / len(a | b)
 
 
 def trigram_similarity(a: str, b: str) -> float:
     """Jaccard similarity of character trigrams (fuzzy-match kernel)."""
-    grams_a = _trigrams(a)
-    grams_b = _trigrams(b)
-    if not grams_a or not grams_b:
-        return 0.0
-    return len(grams_a & grams_b) / len(grams_a | grams_b)
+    return jaccard(_trigrams(a), _trigrams(b))
 
 
 def edit_similarity(a: str, b: str) -> float:
@@ -97,13 +126,25 @@ def edit_similarity(a: str, b: str) -> float:
     return 1.0 - distance / max(len(a), len(b))
 
 
+def edit_similarity_bound(a: str, b: str) -> float:
+    """Upper bound on :func:`edit_similarity` from the lengths alone.
+
+    The OSA distance is at least the length difference, so
+    ``edit_similarity(a, b) <= 1 - |len(a) - len(b)| / max(len(a), len(b))``
+    (on the lowercased strings, as the kernel compares them).  A caller
+    skips the kernel whenever this bound is below its threshold.
+    """
+    length_a = len(a.lower())
+    length_b = len(b.lower())
+    longest = max(length_a, length_b)
+    if longest == 0:
+        return 1.0
+    return 1.0 - abs(length_a - length_b) / longest
+
+
 def token_overlap(a: str, b: str) -> float:
     """Jaccard similarity of word tokens."""
-    tokens_a = set(tokenize_text(a))
-    tokens_b = set(tokenize_text(b))
-    if not tokens_a or not tokens_b:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
+    return jaccard(_tokens(a), _tokens(b))
 
 
 class DomainVocabulary:
@@ -112,6 +153,11 @@ class DomainVocabulary:
     def __init__(self, fuzzy_threshold: float = 0.45):
         self._terms: dict[str, VocabularyTerm] = {}
         self._surface_index: dict[str, tuple[str, str]] = {}
+        #: (term, surface, token set, trigram set) per registered surface,
+        #: in registration order — the order :meth:`lookup` scores them in.
+        self._surface_features: list[
+            tuple[VocabularyTerm, str, frozenset[str], frozenset[str]]
+        ] = []
         self.fuzzy_threshold = fuzzy_threshold
 
     def __len__(self) -> int:
@@ -131,6 +177,8 @@ class DomainVocabulary:
         if key in self._terms:
             raise KGError(f"vocabulary term {term.name!r} already exists")
         self._terms[key] = term
+        for surface in (term.name, *term.synonyms):
+            self._surface_features.append((term, surface, *text_features(surface)))
         self._register_surface(term.name, key, "exact")
         for synonym in term.synonyms:
             self._register_surface(synonym, key, "synonym")
@@ -165,34 +213,24 @@ class DomainVocabulary:
                 match_kind=kind,
                 score=1.0,
             )
+        tokens, grams = text_features(text)
         best: GroundedTerm | None = None
-        for term in self._terms.values():
-            surfaces = [term.name, *term.synonyms]
-            for surface in surfaces:
-                overlap = token_overlap(text, surface)
-                if overlap > 0:
-                    candidate = GroundedTerm(
-                        term=term,
-                        matched_text=surface,
-                        match_kind="token",
-                        score=overlap,
-                    )
-                    if best is None or candidate.score > best.score:
-                        best = candidate
+        for term, surface, surface_tokens, _ in self._surface_features:
+            overlap = jaccard(tokens, surface_tokens)
+            if overlap > 0 and (best is None or overlap > best.score):
+                best = GroundedTerm(
+                    term=term, matched_text=surface, match_kind="token", score=overlap
+                )
         if best is not None and best.score >= 0.34:
             return best
-        for term in self._terms.values():
-            for surface in [term.name, *term.synonyms]:
-                similarity = trigram_similarity(text, surface)
-                if similarity >= self.fuzzy_threshold:
-                    candidate = GroundedTerm(
-                        term=term,
-                        matched_text=surface,
-                        match_kind="fuzzy",
-                        score=similarity,
-                    )
-                    if best is None or candidate.score > best.score:
-                        best = candidate
+        for term, surface, _, surface_grams in self._surface_features:
+            similarity = jaccard(grams, surface_grams)
+            if similarity >= self.fuzzy_threshold and (
+                best is None or similarity > best.score
+            ):
+                best = GroundedTerm(
+                    term=term, matched_text=surface, match_kind="fuzzy", score=similarity
+                )
         if best is not None and (
             best.match_kind != "fuzzy" or best.score >= self.fuzzy_threshold
         ):
@@ -211,16 +249,19 @@ class DomainVocabulary:
         grounded: list[GroundedTerm] = []
         # Pass 1: exact term/synonym hits (all n-gram sizes, longest first),
         # so "working force" wins over a fuzzy "the working force" overlap.
+        # Tokens are lowercase and unpadded, so a phrase is its own surface
+        # key, and lookup() returns an exact/synonym hit exactly when the
+        # surface index has it: pass 1 never needs the scoring scan.
         for exact_only in (True, False):
             for size in range(min(max_ngram, len(tokens)), 0, -1):
                 for start in range(0, len(tokens) - size + 1):
                     if any(consumed[start : start + size]):
                         continue
                     phrase = " ".join(tokens[start : start + size])
+                    if exact_only and phrase not in self._surface_index:
+                        continue
                     hit = self.lookup(phrase)
                     if hit is None:
-                        continue
-                    if exact_only and hit.match_kind not in ("exact", "synonym"):
                         continue
                     if hit.score >= (0.999 if size == 1 else 0.5):
                         grounded.append(hit)

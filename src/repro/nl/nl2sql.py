@@ -30,7 +30,11 @@ from repro.errors import AmbiguousQuestionError, TranslationError
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span
 from repro.kg.schema_kg import SchemaKnowledgeGraph
-from repro.kg.vocabulary import DomainVocabulary
+from repro.kg.vocabulary import (
+    DomainVocabulary,
+    edit_similarity,
+    edit_similarity_bound,
+)
 from repro.nl.grammar import AggregateSpec, FilterSpec, OrderSpec, QueryIntent
 from repro.nl.sqlgen import compile_intent
 from repro.vector.embedding import tokenize_text
@@ -131,6 +135,8 @@ class GroundedSemanticParser:
         self.schema_kg = schema_kg
         self.vocabulary = vocabulary
         self.config = config or GroundingConfig()
+        #: Singularised column surfaces per table, filled on first use.
+        self._column_surfaces: dict[str, list[str]] = {}
 
     # -- public API -----------------------------------------------------------------
 
@@ -305,21 +311,25 @@ class GroundedSemanticParser:
             # Direct table-name mentions (with singular/plural tolerance)
             # outrank whole-question overlap scores.
             table_names = self.schema_kg.tables()
+            table_surfaces = {
+                table: _singularise(table.replace("_", " ").lower())
+                for table in table_names
+            }
             question_grams = _word_ngrams(tokens, 3)
+            singular_grams = [_singularise(gram) for gram in question_grams]
+            typo_tokens = [
+                (token, _singularise(token)) for token in tokens if len(token) >= 4
+            ]
             for table in table_names:
-                surface = _singularise(table.replace("_", " ").lower())
-                for gram in question_grams:
-                    if _singularise(gram) == surface:
+                surface = table_surfaces[table]
+                for gram, singular in zip(question_grams, singular_grams):
+                    if singular == surface:
                         if candidates.get(table, 0.0) < 0.9:
                             candidates[table] = 0.9
                             via[table] = f"table-name mention {gram!r}"
                 # Typo-tolerant mention ("vehilces" -> vehicles).
-                for token in tokens:
-                    if len(token) < 4:
-                        continue
-                    from repro.kg.vocabulary import edit_similarity
-
-                    if edit_similarity(_singularise(token), surface) >= 0.72:
+                for token, singular in typo_tokens:
+                    if _edit_similar(singular, surface):
                         if candidates.get(table, 0.0) < 0.85:
                             candidates[table] = 0.85
                             via[table] = f"fuzzy table mention {token!r}"
@@ -328,7 +338,7 @@ class GroundedSemanticParser:
             for match in re.finditer(r"\b(?:of|from|among)\s+(?:the\s+)?([a-z_]+)", text):
                 word = _singularise(match.group(1))
                 for table in table_names:
-                    if _singularise(table.replace("_", " ").lower()) == word:
+                    if table_surfaces[table] == word:
                         if candidates.get(table, 0.0) < 1.0:
                             candidates[table] = 1.0
                             via[table] = f"'of {match.group(1)}' construction"
@@ -337,18 +347,13 @@ class GroundedSemanticParser:
             # subject that *names* a table ("how many employees ...") is
             # equally strong.
             if measure_hint:
-                from repro.kg.vocabulary import edit_similarity as _edit_sim
-
                 first_word = measure_hint.replace("_", " ").lower().split()[0]
                 subject = _singularise(first_word)
                 subject_matched = False
                 for table in table_names:
-                    table_surface = _singularise(table.replace("_", " ").lower())
+                    table_surface = table_surfaces[table]
                     exact = table_surface == subject
-                    fuzzy = (
-                        len(subject) >= 4
-                        and _edit_sim(table_surface, subject) >= 0.72
-                    )
+                    fuzzy = len(subject) >= 4 and _edit_similar(table_surface, subject)
                     if exact or fuzzy:
                         # "how many vehicles ..." decides the table outright;
                         # later column mentions are filter material, so the
@@ -421,20 +426,27 @@ class GroundedSemanticParser:
         ``fuzzy`` extends the match to high edit similarity (typo
         tolerance), used only as a fallback when no exact holder exists.
         """
-        from repro.kg.vocabulary import edit_similarity
-
         target = _singularise(phrase.replace("_", " ").lower())
         holders: list[str] = []
         for table in table_names:
-            for column in self.schema_kg.columns_of(table):
-                surface = _singularise(column.replace("_", " ").lower())
+            for surface in self._singular_columns(table):
                 matched = surface == target
                 if not matched and fuzzy and min(len(surface), len(target)) >= 4:
-                    matched = edit_similarity(surface, target) >= 0.72
+                    matched = _edit_similar(surface, target)
                 if matched:
                     holders.append(table)
                     break
         return holders
+
+    def _singular_columns(self, table: str) -> list[str]:
+        """Singularised, humanised column names of ``table`` (memoised)."""
+        surfaces = self._column_surfaces.get(table)
+        if surfaces is None:
+            surfaces = self._column_surfaces[table] = [
+                _singularise(column.replace("_", " ").lower())
+                for column in self.schema_kg.columns_of(table)
+            ]
+        return surfaces
 
     def _superlative_measure_hint(self, text: str) -> str:
         """Measure phrase of a 'which G has the highest total M' question."""
@@ -644,6 +656,11 @@ class GroundedSemanticParser:
     ) -> list[FilterSpec]:
         filters: list[FilterSpec] = []
         for pattern, operator in _COMPARATORS:
+            # The lazy phrase group makes the full pattern quadratic in the
+            # length of a letter run; this linear probe for "<op> <number>"
+            # (which every match contains) skips the scan when it cannot hit.
+            if not re.search(rf"\s(?:{pattern})\s+-?\d", text):
+                continue
             for match in re.finditer(
                 rf"([a-z_ ]+?)\s+(?:{pattern})\s+(-?\d+(?:\.\d+)?)", text
             ):
@@ -965,6 +982,12 @@ def _word_ngrams(tokens: list[str], max_size: int) -> list[str]:
         for start in range(0, len(tokens) - size + 1):
             grams.append(" ".join(tokens[start : start + size]))
     return grams
+
+
+def _edit_similar(a: str, b: str) -> bool:
+    """Typo match: ``edit_similarity(a, b) >= 0.72``, skipping the kernel
+    when the length bound already rules it out."""
+    return edit_similarity_bound(a, b) >= 0.72 and edit_similarity(a, b) >= 0.72
 
 
 def _singularise(phrase: str) -> str:

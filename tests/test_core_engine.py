@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import (
@@ -17,6 +20,7 @@ from repro.core import (
     ReliabilityConfig,
     Session,
 )
+from repro.core.engine import MAX_QUESTION_CHARS
 from repro.datasets import build_swiss_labour_registry
 from repro.guidance.clarification import ClarificationMode
 from repro.guidance.conversation_graph import TurnKind
@@ -132,6 +136,65 @@ class TestClarificationFlow:
         answer = engine.ask("xyzzy plugh")
         assert answer.kind is AnswerKind.CLARIFICATION
         assert engine.session.expecting_clarification_reply
+
+
+class TestOverlongInput:
+    """Text over MAX_QUESTION_CHARS gets a bounded-time abstention."""
+
+    LONG = " ".join(["average employees by canton for workforce"] * 476)
+
+    @pytest.fixture(scope="class")
+    def shared_engine(self):
+        domain = build_swiss_labour_registry(seed=5)
+        return CDAEngine(domain.registry, domain.vocabulary)
+
+    def test_long_question_abstains_quickly(self, engine):
+        started = time.perf_counter()
+        answer = engine.ask(self.LONG)
+        assert time.perf_counter() - started < 0.1
+        assert answer.kind is AnswerKind.ABSTENTION
+        assert answer.metadata["abstention_reason"] == "input_too_long"
+        assert str(MAX_QUESTION_CHARS) in answer.text
+        assert [turn.kind for turn in engine.session.graph.turns()[-2:]] == [
+            TurnKind.USER_QUESTION,
+            TurnKind.ABSTENTION,
+        ]
+
+    def test_limit_is_inclusive(self, engine):
+        answer = engine.ask(("how many employees are there " * 20)[:MAX_QUESTION_CHARS])
+        assert answer.metadata.get("abstention_reason") != "input_too_long"
+
+    def test_pending_clarification_survives(self, engine):
+        engine.ask("what datasets do you have about the labour market")
+        assert engine.session.expecting_clarification_reply
+        assert engine.ask("x" * 20_000).kind is AnswerKind.ABSTENTION
+        assert engine.session.expecting_clarification_reply
+        assert engine.ask("employment").kind is AnswerKind.METADATA
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=20_000),
+            st.text(alphabet="abc _<>=-.0123456789", min_size=400, max_size=600),
+            # Question words repeated and cut to a length around the limit.
+            st.tuples(
+                st.lists(
+                    st.sampled_from(
+                        ["employees", "greater", "than", "over", "by", "canton",
+                         "average", "5", "-3.5", "of", "the", "top", "and", "for"]
+                    ),
+                    min_size=1,
+                    max_size=6,
+                ),
+                st.integers(1, 1200),
+            ).map(lambda pair: ((" ".join(pair[0]) + " ") * 1200)[: pair[1]]),
+        )
+    )
+    def test_hostile_text_is_answered_in_bounded_time(self, shared_engine, text):
+        started = time.perf_counter()
+        answer = shared_engine.ask(text)
+        assert time.perf_counter() - started < 0.1
+        assert isinstance(answer, Answer)
 
 
 class TestAnalysisPath:

@@ -95,6 +95,16 @@ class TestFaithfulReplay:
         assert report.divergence_count == 0
         assert len(report.turns) == 100
 
+    def test_overlong_turns_replay_exactly(self):
+        long_text = " ".join(["average employees by canton for workforce"] * 476)
+        # Over-long text both as a plain turn and while a clarification
+        # is pending (it must not consume the pending reply).
+        questions = (SCRIPT[0], long_text, SCRIPT[2], long_text, SCRIPT[3], SCRIPT[4])
+        report = replay_session(record_script(questions))
+        assert report.diverged is False
+        assert report.divergence_count == 0
+        assert len(report.turns) == len(questions)
+
     def test_replay_carries_latency_diagnostics(self, recorded_script):
         report = replay_session(recorded_script)
         first = report.turns[0]
