@@ -54,6 +54,7 @@ from repro.vector import (
 )
 from repro.vector.base import recall_at_k as vector_recall_at_k
 from repro.vector.dataset import generate_query_set
+from repro.vector.reference import ScalarHNSWIndex
 
 SCALE = float(os.environ.get("E14_SCALE", "1.0"))
 #: Timing noise dominates small runs; only full scale asserts the floors.
@@ -125,16 +126,19 @@ def _measure_index(name, index, queries, truth):
 def _measure_hnsw(dataset, queries, truth):
     """Scalar per-edge expansion vs vectorised per-frontier expansion.
 
-    Both modes build identical graphs, so the comparison isolates the
-    search kernel; parity covers ids, distances and the work counter.
+    Both indexes build identical graphs (asserted), so the comparison
+    isolates the search kernel; parity covers ids, distances and the
+    work counter.
     """
+    scalar_index = ScalarHNSWIndex(m=8, ef_construction=64, ef_search=32, seed=SEED)
+    scalar_index.build(dataset)
     index = HNSWIndex(m=8, ef_construction=64, ef_search=32, seed=SEED)
     index.build(dataset)
-    index.vectorized = False
+    assert scalar_index._graph == index._graph
+    assert scalar_index._entry_point == index._entry_point
     scalar_seconds, scalar_results = _best_of(
-        lambda: [index.search(query, K) for query in queries]
+        lambda: [scalar_index.search(query, K) for query in queries]
     )
-    index.vectorized = True
     vector_seconds, vector_results = _best_of(
         lambda: index.search_batch(queries, K)
     )

@@ -51,13 +51,10 @@ from repro.analytics.timeseries import InsufficientDataError, decompose
 from repro.analytics.outliers import iqr_outliers
 
 # Turn-level telemetry handles (registry reset zeroes these in place).
-# ``*.latency`` names auto-attach the quantile sketch, so the scorecard's
-# p50/p95 stay relative-error-bounded at any traffic volume.
+# Histograms are quantile sketches, so the scorecard's p50/p95 stay
+# relative-error-bounded at any traffic volume.
 _TURN_LATENCY = histogram("core.engine.turn.latency")
-_CONFIDENCE = histogram(
-    "core.engine.confidence",
-    buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-)
+_CONFIDENCE = histogram("core.engine.confidence")
 _DATA_ANSWERS = counter("core.engine.data_answers")
 _EXPLAINED_ANSWERS = counter("core.engine.explained_answers")
 _SUGGESTIONS_OFFERED = counter("guidance.suggestions.offered")

@@ -44,10 +44,7 @@ from repro.vector.embedding import tokenize_text
 # — the scorecard's grounding verdict reads exactly these.
 _GROUND_ATTEMPTS = counter("nl.ground.attempts")
 _GROUND_SUCCESSES = counter("nl.ground.grounded")
-_GROUND_CONFIDENCE = histogram(
-    "nl.ground.confidence",
-    buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-)
+_GROUND_CONFIDENCE = histogram("nl.ground.confidence")
 
 _NUMBER_WORDS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,

@@ -1,20 +1,44 @@
-"""Trace export: span trees as JSON and as indented text reports.
+"""Export: span trees as JSON/text, the registry as Prometheus, traces
+as Chrome trace-event JSON.
 
-A turn trace is only useful if it leaves the process: the JSON form
-(``to_dict``/``to_json``, with ``from_dict`` as its inverse) makes the
-trace a queryable object — the Query-By-Provenance view of the pipeline
-itself — while :func:`render_text` is the human report behind
-``python -m repro ... --trace``.
+A turn trace is only useful if it leaves the process:
+
+* the JSON form (``to_dict``/``to_json``, with ``from_dict`` as its
+  inverse) makes the trace a queryable object — the Query-By-Provenance
+  view of the pipeline itself.  Every span keeps its start offset from
+  the root, so a tree reloaded from a black box lays out exactly as it
+  ran;
+* :func:`render_text` is the human report behind
+  ``python -m repro ... --trace``;
+* :func:`to_prometheus` renders the metrics registry in the Prometheus
+  text exposition format (version 0.0.4): sanitized metric names,
+  ``# TYPE`` headers, counters with the ``_total`` suffix, and
+  histograms expanded into the cumulative ``_bucket{le="..."}`` /
+  ``_sum`` / ``_count`` triplet;
+* :func:`to_chrome_trace` and :func:`blackbox_chrome_trace` convert a
+  turn or a whole recorded session into the Chrome trace-event format
+  (``"X"`` complete events with microsecond timestamps), loadable as-is
+  in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Attribute values are coerced to JSON-safe scalars on export (anything
 exotic becomes its ``repr``), so ``from_dict(to_dict(t))`` always
-round-trips to an identical dictionary.
+round-trips to an identical dictionary.  Everything here is a pure
+function over :mod:`repro.obs` objects — stdlib only, no servers or
+sockets.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+)
 from repro.obs.trace import Span
 
 __all__ = [
@@ -24,6 +48,11 @@ __all__ = [
     "from_json",
     "render_text",
     "stage_timings",
+    "sanitize_metric_name",
+    "to_prometheus",
+    "to_chrome_trace",
+    "chrome_trace_json",
+    "blackbox_chrome_trace",
 ]
 
 
@@ -39,10 +68,19 @@ def _jsonable(value):
 
 
 def to_dict(span: Span) -> dict:
-    """The span tree as a nested dictionary (JSON-ready)."""
+    """The span tree as a nested dictionary (JSON-ready).
+
+    ``start_ms`` is each span's start offset from ``span`` itself, the
+    root of the dump.
+    """
+    return _span_dict(span, span.start_ns)
+
+
+def _span_dict(span: Span, origin_ns: int) -> dict:
     payload: dict = {
         "name": span.name,
         "status": span.status,
+        "start_ms": round((span.start_ns - origin_ns) / 1e6, 6),
         "duration_ms": round(span.duration_ms, 6),
     }
     if span.error is not None:
@@ -52,21 +90,25 @@ def to_dict(span: Span) -> dict:
             str(key): _jsonable(value) for key, value in span.attributes.items()
         }
     if span.children:
-        payload["children"] = [to_dict(child) for child in span.children]
+        payload["children"] = [
+            _span_dict(child, origin_ns) for child in span.children
+        ]
     return payload
 
 
 def from_dict(payload: dict) -> Span:
     """Rebuild a span tree from its :func:`to_dict` form.
 
-    Timings are restored from ``duration_ms`` (start rebased to zero), so
-    ``to_dict(from_dict(d)) == d`` — the JSON round-trip is lossless.
+    Timings are restored from ``start_ms`` and ``duration_ms`` on a clock
+    that starts at the root, so ``to_dict(from_dict(d)) == d`` — the JSON
+    round-trip is lossless.  A span written without ``start_ms`` starts
+    at offset 0.
     """
     span = Span(payload["name"], dict(payload.get("attributes", {})) or None)
     span.status = payload.get("status", "ok")
     span.error = payload.get("error")
-    span.start_ns = 0
-    span.end_ns = int(round(payload.get("duration_ms", 0.0) * 1e6))
+    span.start_ns = int(round(payload.get("start_ms", 0.0) * 1e6))
+    span.end_ns = span.start_ns + int(round(payload.get("duration_ms", 0.0) * 1e6))
     span.children = [from_dict(child) for child in payload.get("children", [])]
     return span
 
@@ -140,3 +182,188 @@ def stage_timings(roots: "Span | list[Span]") -> dict[str, dict]:
         entry["total_ms"] = round(entry["total_ms"], 6)
         entry["mean_ms"] = round(entry["total_ms"] / entry["count"], 6)
     return stages
+
+
+# -- Prometheus exposition -----------------------------------------------------
+
+_INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def sanitize_metric_name(name: str, namespace: str = "") -> str:
+    """``name`` as a valid Prometheus metric name.
+
+    Dots (our ``layer.component.metric`` scheme) and any other invalid
+    character become underscores; a leading digit gets a guard
+    underscore; ``namespace`` is prefixed when given.
+    """
+    sanitized = _INVALID_CHARS.sub("_", name)
+    if namespace:
+        sanitized = f"{namespace}_{sanitized}"
+    if not sanitized or sanitized[0].isdigit():
+        sanitized = "_" + sanitized
+    return sanitized
+
+
+def _format_value(value) -> str:
+    """A Prometheus-valid sample value (int kept exact, float via repr)."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def to_prometheus(
+    registry: MetricsRegistry | None = None, namespace: str = "repro"
+) -> str:
+    """The registry in Prometheus text exposition format (0.0.4).
+
+    Counters gain the conventional ``_total`` suffix; histograms expand
+    to cumulative ``_bucket{le="..."}`` series (closed with
+    ``le="+Inf"``) plus ``_sum`` and ``_count``.  The ``le`` bounds are
+    the upper bounds of the histogram sketch's occupied buckets, in value
+    order: the sketch geometry is fixed, so a bucket keeps its bound
+    across scrapes, and each cumulative count is exact up to float
+    rounding of a value that sits on a bucket edge.  Output ends with the
+    required trailing newline and is ordered by metric name, so scrapes
+    diff cleanly.
+    """
+    registry = registry if registry is not None else get_registry()
+    lines: list[str] = []
+    for name in registry.names():
+        metric = registry.get(name)
+        base = sanitize_metric_name(name, namespace)
+        if isinstance(metric, Counter):
+            family = base if base.endswith("_total") else f"{base}_total"
+            lines.append(f"# HELP {family} {name}")
+            lines.append(f"# TYPE {family} counter")
+            lines.append(f"{family} {_format_value(metric.value)}")
+        elif isinstance(metric, Gauge):
+            lines.append(f"# HELP {base} {name}")
+            lines.append(f"# TYPE {base} gauge")
+            lines.append(f"{base} {_format_value(metric.value)}")
+        elif isinstance(metric, Histogram):
+            lines.append(f"# HELP {base} {name}")
+            lines.append(f"# TYPE {base} histogram")
+            cumulative = 0
+            for bound, bin_count in metric.bucket_bounds():
+                cumulative += bin_count
+                lines.append(f'{base}_bucket{{le="{bound!r}"}} {cumulative}')
+            lines.append(f'{base}_bucket{{le="+Inf"}} {metric.count}')
+            lines.append(f"{base}_sum {_format_value(metric.total)}")
+            lines.append(f"{base}_count {metric.count}")
+    return "\n".join(lines) + "\n"
+
+
+# -- Chrome trace events --------------------------------------------------------
+
+
+def _span_args(node: Span) -> dict:
+    """Status, error and JSON-safe attributes: a span's ``args``."""
+    args: dict = {"status": node.status}
+    if node.error is not None:
+        args["error"] = node.error
+    for key, value in node.attributes.items():
+        args[str(key)] = _jsonable(value)
+    return args
+
+
+def _span_events(root: Span, pid: int, tid: int, offset_us: float) -> list[dict]:
+    """One ``"X"`` event per span of the tree, the root at ``offset_us``."""
+    origin_ns = root.start_ns
+    return [
+        {
+            "name": node.name,
+            "cat": node.name.split(".", 1)[0],
+            "ph": "X",
+            "ts": offset_us + (node.start_ns - origin_ns) / 1e3,
+            "dur": node.duration_ns / 1e3,
+            "pid": pid,
+            "tid": tid,
+            "args": _span_args(node),
+        }
+        for node in root.iter_spans()
+    ]
+
+
+def _trace_document(process: str, pid: int, tid: int, events: list[dict]) -> dict:
+    """A trace-event document: the process-name record, then ``events``."""
+    metadata = {
+        "ph": "M",
+        "name": "process_name",
+        "pid": pid,
+        "tid": tid,
+        "args": {"name": process},
+    }
+    return {"traceEvents": [metadata, *events], "displayTimeUnit": "ms"}
+
+
+def to_chrome_trace(root: Span, pid: int = 1, tid: int = 1) -> dict:
+    """The span tree as a Chrome trace-event document.
+
+    Every span becomes one ``"X"`` (complete) event with ``ts``/``dur``
+    in microseconds, rebased so the root starts at 0.  Attributes,
+    status, and any error land in ``args`` where the Perfetto UI shows
+    them on selection.  The returned dict serialises directly to a
+    ``.json`` file both Perfetto and ``chrome://tracing`` open.
+    """
+    return _trace_document("repro", pid, tid, _span_events(root, pid, tid, 0.0))
+
+
+def chrome_trace_json(root: Span, indent: int | None = None) -> str:
+    """:func:`to_chrome_trace` serialised as a JSON document."""
+    return json.dumps(to_chrome_trace(root), indent=indent)
+
+
+def blackbox_chrome_trace(blackbox, pid: int = 1) -> dict:
+    """A whole black box as one Perfetto-loadable session timeline.
+
+    Each recorded turn's captured span tree (stored in its output
+    envelope by :func:`repro.obs.recorder.output_envelope`) is laid out
+    sequentially on a single thread — turn N starts where turn N-1
+    ended — so a dumped session can be inspected end to end as one
+    flame graph.  A turn's root event carries the turn (index, question,
+    answer kind, and any anomaly reasons) in ``args``; its stages carry
+    their own span ``args``.  Turns recorded without tracing contribute
+    a single synthetic span from their measured turn latency.
+    """
+    events: list[dict] = []
+    cursor_us = 0.0
+    for recording in blackbox.turns:
+        outputs = recording.outputs
+        args: dict = {
+            "turn_index": recording.turn_index,
+            "question": recording.question,
+            "kind": outputs.get("kind"),
+        }
+        if recording.anomaly:
+            args["anomaly"] = recording.anomaly
+        trace_payload = outputs.get("trace")
+        if trace_payload is not None:
+            # Loaded black boxes store the tree as a dict; a live
+            # recorder still holds the Span object (lazy serialisation).
+            root = (
+                from_dict(trace_payload)
+                if isinstance(trace_payload, dict)
+                else trace_payload
+            )
+            turn_events = _span_events(root, pid, 1, cursor_us)
+            turn_events[0]["args"] = args
+            events.extend(turn_events)
+            duration_us = root.duration_ns / 1e3
+        else:
+            duration_us = (outputs.get("latency_s") or 0.0) * 1e6
+            events.append(
+                {
+                    "name": "engine.ask",
+                    "cat": "engine",
+                    "ph": "X",
+                    "ts": cursor_us,
+                    "dur": duration_us,
+                    "pid": pid,
+                    "tid": 1,
+                    "args": args,
+                }
+            )
+        cursor_us += duration_us
+    return _trace_document("repro session", pid, 1, events)

@@ -1,4 +1,4 @@
-"""Unified metrics registry: counters, gauges, fixed-bucket histograms.
+"""Unified metrics registry: counters, gauges, sketch-backed histograms.
 
 Before this module every layer kept bespoke tallies — ``CacheStats`` on
 the query cache, ``QueryStats`` on the database, ad-hoc ints on the
@@ -15,16 +15,13 @@ Design constraints mirror :mod:`repro.obs.trace`:
   (:func:`get_registry`); :meth:`MetricsRegistry.reset` zeroes every
   metric *in place*, so handles cached at import time (the hot-path
   pattern) survive test-isolation resets;
-* **no numpy in the hot path** — :class:`Histogram` buckets are a plain
-  linear scan over a short tuple of bounds; observation is O(#buckets)
-  with no allocation.
+* **no numpy in the hot path** — a :class:`Histogram` observation is
+  one ``log`` and one dict increment (see :mod:`repro.obs.sketch`).
 """
 
 from __future__ import annotations
 
-import bisect
-
-from repro.obs.sketch import QuantileSketch
+from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 __all__ = [
     "Counter",
@@ -116,123 +113,24 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
-#: Default histogram bounds: decade-spanning, unit-agnostic (callers
-#: observing seconds get µs-to-minutes coverage; callers observing counts
-#: get 1-to-1e6 coverage).
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6,
-)
+class Histogram(QuantileSketch):
+    """A named :class:`~repro.obs.sketch.QuantileSketch` at 1% accuracy.
 
-
-class Histogram:
-    """Fixed-bucket histogram: cumulative-style counts, sum, min/max.
-
-    ``buckets`` are upper bounds (inclusive) of each bin, ascending; one
-    implicit overflow bin catches everything larger.  Observation is a
-    binary search over the bounds — no numpy, no allocation.
-
-    ``sketch`` attaches a relative-error-bounded
-    :class:`~repro.obs.sketch.QuantileSketch` backend: observations feed
-    both structures and :meth:`quantile` answers from the sketch (within
-    its accuracy bound at any scale) instead of by bucket interpolation.
-    Pass ``True`` for the default 1% accuracy or a float in (0, 1) to
-    choose it; latency metrics (``*.latency``) get the sketch
-    automatically from :meth:`MetricsRegistry.histogram`.
+    Observation, quantiles (within 1% relative error at any scale),
+    ``count``/``total``/``min``/``max``/``mean`` and in-place ``reset``
+    are the sketch's own; this class only adds the registry surface — a
+    name, a kind, a summary and a lossless state round-trip.  The fixed
+    geometry also gives :func:`repro.obs.export.to_prometheus` stable
+    bucket bounds to expose.
     """
 
-    __slots__ = (
-        "name", "buckets", "counts", "count", "total", "min", "max", "sketch",
-    )
+    __slots__ = ("name",)
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        buckets: tuple[float, ...] | None = None,
-        sketch: bool | float = False,
-    ):
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram buckets must be ascending and non-empty")
+    def __init__(self, name: str):
+        super().__init__(DEFAULT_RELATIVE_ACCURACY)
         self.name = name
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1 overflow bin
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self.sketch: QuantileSketch | None = None
-        if sketch:
-            self.sketch = QuantileSketch(
-                sketch if isinstance(sketch, float) else 0.01
-            )
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if self.sketch is not None:
-            self.sketch.observe(value)
-
-    @property
-    def mean(self) -> float:
-        """Average observation (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile: sketch-accurate when a sketch backend is
-        attached, else linearly interpolated within the winning bucket.
-
-        The interpolated estimate is clamped to the observed
-        ``[min, max]`` range and is monotone non-decreasing in ``q``.
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        if self.sketch is not None:
-            return self.sketch.quantile(q)
-        target = q * self.count
-        running = 0
-        estimate = self.max if self.max is not None else 0.0
-        for index, bin_count in enumerate(self.counts):
-            if running + bin_count >= target:
-                if index == 0:
-                    lower = self.min if self.min is not None else 0.0
-                else:
-                    lower = self.buckets[index - 1]
-                if index < len(self.buckets):
-                    upper = self.buckets[index]
-                else:  # overflow bin: bounded above by the observed max
-                    upper = self.max if self.max is not None else lower
-                fraction = (target - running) / bin_count if bin_count else 0.0
-                fraction = min(max(fraction, 0.0), 1.0)
-                estimate = lower + (upper - lower) * fraction
-                break
-            running += bin_count
-        # Clamp into the observed range: bucket bounds can overshoot the
-        # data actually seen (e.g. every value in one wide bin).
-        if self.min is not None:
-            estimate = max(estimate, self.min)
-        if self.max is not None:
-            estimate = min(estimate, self.max)
-        return estimate
-
-    def reset(self) -> None:
-        """Zero all bins and stats in place."""
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-        if self.sketch is not None:
-            self.sketch.reset()
 
     def snapshot(self) -> dict:
         """Summary dict (JSON-ready)."""
@@ -242,50 +140,20 @@ class Histogram:
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "buckets": {
-                str(bound): self.counts[index]
-                for index, bound in enumerate(self.buckets)
-                if self.counts[index]
-            },
-            "overflow": self.counts[-1],
         }
-        if self.sketch is not None and self.count:
-            summary["quantiles"] = self.sketch.quantiles()
+        if self.count:
+            summary["quantiles"] = self.quantiles()
         return summary
 
     def to_dict(self) -> dict:
         """Full state (lossless, JSON-safe) — unlike :meth:`snapshot`,
         which summarises."""
-        payload: dict = {
-            "kind": "histogram",
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self.sketch is not None:
-            payload["sketch"] = self.sketch.to_dict()
-        return payload
+        return {"kind": "histogram", **super().to_dict()}
 
     def restore(self, payload: dict) -> None:
-        """Inverse of :meth:`to_dict`, in place (bucket bounds included)."""
-        self.buckets = tuple(payload["buckets"])
-        self.counts = list(payload["counts"])
-        self.count = payload["count"]
-        self.total = payload["sum"]
-        self.min = payload["min"]
-        self.max = payload["max"]
-        sketch_state = payload.get("sketch")
-        self.sketch = (
-            QuantileSketch.from_dict(sketch_state)
-            if sketch_state is not None
-            else None
-        )
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.4g})"
+        """Inverse of :meth:`to_dict`, in place."""
+        self.reset()
+        self.merge(QuantileSketch.from_dict(payload))
 
 
 class MetricsRegistry:
@@ -319,25 +187,9 @@ class MetricsRegistry:
         """The gauge named ``name`` (created on first use)."""
         return self._get_or_create(name, lambda: Gauge(name), "gauge")
 
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] | None = None,
-        sketch: bool | float | None = None,
-    ) -> Histogram:
-        """The histogram named ``name`` (created on first use).
-
-        ``buckets`` and ``sketch`` only apply at creation; later callers
-        share the original configuration.  ``sketch=None`` (the default)
-        auto-attaches the quantile-sketch backend to latency metrics —
-        any name ending in ``.latency`` — so the pipeline's p50/p95/p99
-        stay relative-error-bounded without call sites opting in.
-        """
-        if sketch is None:
-            sketch = name.endswith(".latency")
-        return self._get_or_create(
-            name, lambda: Histogram(name, buckets, sketch=sketch), "histogram"
-        )
+    def histogram(self, name: str) -> Histogram:
+        """The histogram named ``name`` (created on first use)."""
+        return self._get_or_create(name, lambda: Histogram(name), "histogram")
 
     def get(self, name: str):
         """The metric named ``name``, or None."""
@@ -404,18 +256,10 @@ class MetricsRegistry:
         factories = {
             "counter": registry.counter,
             "gauge": registry.gauge,
+            "histogram": registry.histogram,
         }
         for name, state in payload.items():
-            kind = state["kind"]
-            if kind == "histogram":
-                metric = registry.histogram(
-                    name,
-                    buckets=tuple(state["buckets"]),
-                    sketch=False,  # restore() reinstates the sketch state
-                )
-            else:
-                metric = factories[kind](name)
-            metric.restore(state)
+            factories[state["kind"]](name).restore(state)
         return registry
 
 
@@ -438,10 +282,6 @@ def gauge(name: str) -> Gauge:
     return _GLOBAL.gauge(name)
 
 
-def histogram(
-    name: str,
-    buckets: tuple[float, ...] | None = None,
-    sketch: bool | float | None = None,
-) -> Histogram:
-    """Shorthand for ``get_registry().histogram(name, buckets, sketch)``."""
-    return _GLOBAL.histogram(name, buckets, sketch)
+def histogram(name: str) -> Histogram:
+    """Shorthand for ``get_registry().histogram(name)``."""
+    return _GLOBAL.histogram(name)

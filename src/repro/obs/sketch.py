@@ -1,13 +1,13 @@
 """Streaming quantile sketch with a relative-error guarantee.
 
-The fixed-bucket :class:`~repro.obs.metrics.Histogram` is perfect for
-counting but coarse for tail latencies: with decade-wide bins, "p99"
-can only ever be a decade boundary.  This module provides the standard
-fix — a log-bucketed, mergeable sketch in the style of DDSketch
-(Masson, Rim & Lee, VLDB 2019): values map to geometric buckets
-``(gamma^(i-1), gamma^i]`` with ``gamma = (1+alpha)/(1-alpha)``, so any
-quantile estimate lands within relative error ``alpha`` of the true
-order statistic, at any scale and for any distribution.
+The one histogram of the telemetry layer: every
+:class:`~repro.obs.metrics.Histogram` is one of these sketches under a
+name.  Values map to geometric buckets ``(gamma^(i-1), gamma^i]`` with
+``gamma = (1+alpha)/(1-alpha)``, in the style of DDSketch (Masson, Rim
+& Lee, VLDB 2019), so any quantile estimate lands within relative error
+``alpha`` of the true order statistic, at any scale and for any
+distribution — where fixed decade-wide bins could only ever answer
+"p99" with a decade boundary.
 
 Properties the telemetry pipeline relies on:
 
@@ -21,7 +21,11 @@ Properties the telemetry pipeline relies on:
 * **bounded memory** — bucket count grows with the *log* of the value
   range (one dict entry per occupied bucket), not with observations;
 * **lossless round-trip** — :meth:`to_dict`/:meth:`from_dict` preserve
-  the full state for registry export.
+  the full state for registry export;
+* **stable bucket bounds** — the geometry is fixed by ``alpha``, so
+  :meth:`bucket_bounds` reports the same upper bound for the same
+  bucket on every call: the Prometheus ``le`` series are derived from
+  them.
 
 Like the rest of :mod:`repro.obs`: stdlib only, no numpy on the
 observation path (one ``log`` + one dict increment per value).
@@ -118,17 +122,24 @@ class QuantileSketch:
         Walks the buckets in value order — negatives from most to least
         negative, then zeros, then positives ascending — until the
         target rank is covered.  Exact ``min``/``max`` are returned at
-        the extremes.
+        the extremes, and every estimate is clamped into ``[min, max]``:
+        a bucket's representative can lie just outside the observed
+        range, which would break monotonicity in ``q``; the true order
+        statistic lies inside it, so clamping never adds error.
         """
         if not (0.0 <= q <= 1.0):
             raise ValueError("q must be in [0, 1]")
         if self.count == 0:
             return 0.0
         if q == 0.0:
-            return self.min if self.min is not None else 0.0
+            return self.min
         if q == 1.0:
-            return self.max if self.max is not None else 0.0
-        rank = q * (self.count - 1)
+            return self.max
+        estimate = self._rank_value(q * (self.count - 1))
+        return min(max(estimate, self.min), self.max)
+
+    def _rank_value(self, rank: float) -> float:
+        """The representative value of the bucket covering ``rank``."""
         cumulative = 0
         for index in sorted(self._negative, reverse=True):
             cumulative += self._negative[index]
@@ -142,7 +153,25 @@ class QuantileSketch:
             cumulative += self._positive[index]
             if cumulative > rank:
                 return self._bucket_value(index)
-        return self.max if self.max is not None else 0.0
+        return self.max
+
+    def bucket_bounds(self) -> list[tuple[float, int]]:
+        """``(upper bound, count)`` for every occupied bucket, in value order.
+
+        A positive bucket ``i`` is bounded above by ``gamma^i``, a
+        negative one by ``-gamma^(i-1)``, and exact zeros by ``0.0``.
+        """
+        bounds = [
+            (-self._gamma ** (index - 1), self._negative[index])
+            for index in sorted(self._negative, reverse=True)
+        ]
+        if self._zeros:
+            bounds.append((0.0, self._zeros))
+        bounds.extend(
+            (self._gamma ** index, self._positive[index])
+            for index in sorted(self._positive)
+        )
+        return bounds
 
     def quantiles(self, qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> dict[str, float]:
         """Several quantiles at once, keyed ``p50``-style (JSON-ready)."""
@@ -222,6 +251,6 @@ class QuantileSketch:
 
     def __repr__(self) -> str:
         return (
-            f"QuantileSketch(alpha={self.relative_accuracy}, n={self.count}, "
+            f"{type(self).__name__}(alpha={self.relative_accuracy}, n={self.count}, "
             f"buckets={len(self._positive) + len(self._negative)})"
         )

@@ -31,6 +31,7 @@ from repro.vector import (
 )
 from repro.vector.dataset import generate_query_set
 from repro.vector.embedding import HashingEmbedder, tokenize_text
+from repro.vector.reference import ScalarHNSWIndex
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -133,7 +134,7 @@ class TestSearchBatchParity:
 
 
 # ---------------------------------------------------------------------------
-# HNSW: vectorised expansion == scalar expansion
+# HNSW: vectorised expansion == the per-edge reference
 # ---------------------------------------------------------------------------
 
 
@@ -142,7 +143,7 @@ class TestHNSWVectorizedParity:
     @given(seed=st.integers(0, 300), k=st.integers(1, 10))
     def test_vectorized_matches_scalar(self, seed, k):
         dataset, queries = _make_workload(seed)
-        scalar = HNSWIndex(m=4, ef_construction=16, ef_search=12, seed=1, vectorized=False)
+        scalar = ScalarHNSWIndex(m=4, ef_construction=16, ef_search=12, seed=1)
         vectorized = HNSWIndex(m=4, ef_construction=16, ef_search=12, seed=1)
         scalar.build(dataset)
         vectorized.build(dataset)

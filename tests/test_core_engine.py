@@ -313,22 +313,27 @@ class TestSessionState:
 
 class TestProductionPath:
     def test_data_turn_never_imports_the_reference_engine(self):
-        # A fresh interpreter: this test process has the reference engine
+        # A fresh interpreter: this test process has the reference engines
         # loaded already, for the parity corpora.
         script = textwrap.dedent(
             """
             import json, sys
+            import repro.vector
             from repro.core import AnswerKind, CDAEngine
             from repro.datasets import build_swiss_labour_registry
 
             domain = build_swiss_labour_registry(seed=5)
             engine = CDAEngine(domain.registry, domain.vocabulary)
             answer = engine.ask("how many cantons are there")
+            discovery = engine.ask("what data do you have about employment")
             print(json.dumps({
                 "kind": answer.kind.value,
                 "verified": answer.verification is not None
                 and answer.verification.depth == "provenance",
+                "discovery_kind": discovery.kind.value,
                 "reference_loaded": "repro.sqldb.reference" in sys.modules,
+                "vector_reference_loaded":
+                    "repro.vector.reference" in sys.modules,
             }))
             """
         )
@@ -349,5 +354,7 @@ class TestProductionPath:
         assert outcome == {
             "kind": AnswerKind.DATA.value,
             "verified": True,
+            "discovery_kind": AnswerKind.DISCOVERY.value,
             "reference_loaded": False,
+            "vector_reference_loaded": False,
         }

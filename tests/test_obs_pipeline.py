@@ -13,6 +13,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CDAEngine
 from repro.obs import (
@@ -322,6 +324,43 @@ class TestPrometheusExport:
         # Every sample's family has a TYPE line earlier in the output.
         families = {line.split()[2] for line in typed}
         assert len(families) == len(typed)  # one TYPE per family
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(
+                    min_value=0.0, max_value=1e6,
+                    allow_nan=False, allow_infinity=False,
+                ),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_histogram_buckets_are_the_sketch_bounds(self, values):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        h = registry.histogram("h")
+        total = 0.0
+        for value in values:
+            h.observe(value)
+            total += value
+        samples = _parse_prometheus(to_prometheus(registry, namespace=""))
+        buckets = samples["h_bucket"]
+        assert buckets[-1] == ("+Inf", float(len(values)))
+        bounds = [float(le) for le, _ in buckets[:-1]]
+        counts = [count for _, count in buckets]
+        assert bounds == sorted(set(bounds))
+        assert counts == sorted(counts)  # cumulative
+        for bound, count in zip(bounds, counts):
+            # Exact, up to float rounding of a value on a bucket edge.
+            below = sum(value < bound * (1 - 1e-9) for value in values)
+            at_most = sum(value <= bound * (1 + 1e-9) for value in values)
+            assert below <= count <= at_most, (bound, count, values)
+        assert samples["h_count"] == [(None, float(len(values)))]
+        assert samples["h_sum"] == [(None, total)]
 
     def test_custom_registry_and_empty_namespace(self):
         from repro.obs import MetricsRegistry

@@ -27,8 +27,10 @@ from repro.obs import (
     BlackBox,
     FlightRecorder,
     SLOThresholds,
+    blackbox_chrome_trace,
     get_event_log,
 )
+from repro.obs import from_dict as span_from_dict
 from repro.obs.events import EventLog
 
 
@@ -286,6 +288,43 @@ class TestBlackBox:
         assert len(blackbox) == len(QUESTIONS)
         for loaded, live in zip(blackbox.turns, engine.recorder.recordings()):
             assert loaded.to_dict() == json.loads(json.dumps(live.to_dict()))
+
+    def test_reloaded_session_trace_nests(self, engine, tmp_path):
+        for question in QUESTIONS:
+            engine.ask(question)
+        path = tmp_path / "box.jsonl"
+        engine.recorder.dump(path)
+        blackbox = BlackBox.load(path)
+        events = iter(
+            event
+            for event in blackbox_chrome_trace(blackbox)["traceEvents"]
+            if event["ph"] == "X"
+        )
+        slack_us = 1e-3  # one nanosecond of float rounding
+
+        def check(node, event):
+            """Events come in pre-order: a child's subtree, then its sibling."""
+            previous = None
+            for child in node.children:
+                child_event = next(events)
+                assert child_event["name"] == child.name
+                assert child_event["ts"] >= event["ts"] - slack_us
+                assert (
+                    child_event["ts"] + child_event["dur"]
+                    <= event["ts"] + event["dur"] + slack_us
+                )
+                if previous is not None:
+                    assert child_event["ts"] >= (
+                        previous["ts"] + previous["dur"] - slack_us
+                    )
+                check(child, child_event)
+                previous = child_event
+
+        roots = [span_from_dict(turn.outputs["trace"]) for turn in blackbox.turns]
+        assert any(len(root.children) >= 2 for root in roots)
+        for root in roots:
+            check(root, next(events))
+        assert next(events, None) is None
 
     def test_header_resolves_fingerprint_lazily(self):
         recorder = FlightRecorder(context={"fingerprint": lambda: "abc123"})
